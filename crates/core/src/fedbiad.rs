@@ -237,26 +237,26 @@ impl LocalHooks for BiadHooks<'_> {
 
     fn post_iteration(&mut self, v: usize, loss: f32) {
         self.tracker.observe(loss);
-        let held = self.pattern.clone();
-        let mut favourable = true;
         // Algorithm 1 lines 18–25 (stage one only): every τ iterations,
         // keep the pattern when ΔL ≤ 0, re-sample otherwise.
-        if self.stage_one && self.tracker.at_checkpoint(v) {
-            if let Some(gap) = self.tracker.gap() {
-                if gap > 0.0 {
-                    favourable = false;
-                    self.pattern = self.fedbiad.sample_pattern(
-                        self.params_template,
-                        self.j,
-                        self.keep,
-                        &mut self.pattern_rng,
-                    );
-                    self.resamples += 1;
-                }
-            }
+        let unfavourable = self.stage_one
+            && self.tracker.at_checkpoint(v)
+            && self.tracker.gap().is_some_and(|gap| gap > 0.0);
+        // Algorithm 1 line 26 / eq. (9): score the held pattern against
+        // the next one.
+        if unfavourable {
+            let next = self.fedbiad.sample_pattern(
+                self.params_template,
+                self.j,
+                self.keep,
+                &mut self.pattern_rng,
+            );
+            let held = std::mem::replace(&mut self.pattern, next);
+            self.resamples += 1;
+            self.scores.update(&held, &self.pattern, false);
+        } else {
+            self.scores.update(&self.pattern, &self.pattern, true);
         }
-        // Algorithm 1 line 26 / eq. (9).
-        self.scores.update(&held, &self.pattern, favourable);
     }
 }
 

@@ -26,6 +26,11 @@ pub fn normal(m: &mut Matrix, std: f32, rng: &mut impl Rng) {
     }
 }
 
+/// Strict upper bound on |[`gaussian`]|. The f32 uniform is a multiple of
+/// 2⁻²⁴, so the accepted `u1` is at least 2⁻²⁴ and every sample satisfies
+/// |ε| ≤ √(48 ln 2) ≈ 5.77 < 6.
+pub const GAUSSIAN_BOUND: f32 = 6.0;
+
 /// One standard-normal sample via Box–Muller (avoids a rand_distr
 /// dependency; two uniforms per sample, second discarded for simplicity).
 #[inline]
@@ -35,6 +40,20 @@ pub fn gaussian(rng: &mut impl Rng) -> f32 {
         if u1 > f32::MIN_POSITIVE {
             let u2: f32 = rng.gen::<f32>();
             return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+        }
+    }
+}
+
+/// Advance `rng` exactly as one [`gaussian`] call would (the same draws,
+/// including the redraw of a zero `u1`) without computing the sample —
+/// for callers that can prove the sample is not needed.
+#[inline]
+pub fn skip_gaussian(rng: &mut impl Rng) {
+    loop {
+        let u1: f32 = rng.gen::<f32>();
+        if u1 > f32::MIN_POSITIVE {
+            rng.gen::<f32>();
+            return;
         }
     }
 }
@@ -64,6 +83,50 @@ mod tests {
         let v = crate::stats::variance(&xs);
         assert!(m.abs() < 0.05, "mean {m}");
         assert!((v - 1.0).abs() < 0.1, "var {v}");
+    }
+
+    #[test]
+    fn gaussian_bound_covers_the_smallest_accepted_uniform() {
+        // The largest |ε| comes from the smallest accepted u1 = 2⁻²⁴ and
+        // |cos| = 1, evaluated in the same f32 arithmetic as `gaussian`.
+        let u1 = 1.0f32 / (1u32 << 24) as f32;
+        assert!(u1 > f32::MIN_POSITIVE);
+        let max = (-2.0 * u1.ln()).sqrt();
+        assert!(max < 5.77, "max |ε| = {max} exceeds √(48 ln 2)");
+    }
+
+    /// Replays words whose upper 32 bits (what `gen::<f32>` reads) give
+    /// u = 0 every third draw, so the redraw of a zero `u1` is exercised.
+    struct ZeroEveryThird(u64);
+
+    impl rand::RngCore for ZeroEveryThird {
+        fn next_u64(&mut self) -> u64 {
+            self.0 += 1;
+            if self.0.is_multiple_of(3) {
+                0
+            } else {
+                self.0 << 40
+            }
+        }
+    }
+
+    #[test]
+    fn skip_gaussian_advances_the_stream_like_gaussian() {
+        let mut a = stream(11, StreamTag::Init, 0, 0);
+        let mut b = stream(11, StreamTag::Init, 0, 0);
+        for _ in 0..1_000 {
+            gaussian(&mut a);
+            skip_gaussian(&mut b);
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+
+        let mut a = ZeroEveryThird(0);
+        let mut b = ZeroEveryThird(0);
+        for _ in 0..100 {
+            gaussian(&mut a);
+            skip_gaussian(&mut b);
+            assert_eq!(a.0, b.0);
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Golden-trace regression: a pinned content digest of the 2-round
+//! Golden-trace regression: pinned content digests of the 2-round
 //! `scenarios/fig2.toml` run (smoke scale, the exact CI smoke
-//! configuration), so any kernel or engine change that drifts numerics —
-//! however slightly — fails loudly instead of silently shifting every
-//! figure.
+//! configuration) and of the 2-round `scenarios/compressor_grid.toml`
+//! run (the method × compressor cross-product on the image MLP, which
+//! pins FedBIAD+DGC/STC, AFD+STC and FjORD+DGC), so any kernel or engine
+//! change that drifts numerics — however slightly — fails loudly instead
+//! of silently shifting every figure.
 //!
 //! Wall-clock fields (`local_seconds_*`, `agg_seconds`) are genuinely
 //! non-deterministic and are zeroed out of the digest, matching the
@@ -33,6 +35,9 @@ use std::path::Path;
 /// the update procedure).
 const GOLDEN_DIGEST: u64 = 0x8CC5_8120_02BF_5841;
 
+/// Pinned digest of the 2-round smoke compressor-grid trace.
+const COMPRESSOR_GRID_DIGEST: u64 = 0x6F76_9566_CD34_0AA9;
+
 /// FNV-1a, the same primitive the scenario engine uses for spec hashes.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -43,10 +48,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The CI smoke configuration: 2 rounds, smoke scale, 200 eval samples.
+/// The CI smoke configuration of fig2.
 fn smoke_spec() -> ScenarioSpec {
-    let mut spec = ScenarioSpec::from_path(Path::new("scenarios/fig2.toml"))
-        .expect("bundled fig2 spec must load");
+    smoke_spec_of("scenarios/fig2.toml")
+}
+
+/// A bundled spec at the CI smoke configuration: 2 rounds, smoke scale,
+/// 200 eval samples.
+fn smoke_spec_of(path: &str) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::from_path(Path::new(path)).expect("bundled spec must load");
     spec.apply_overrides(&Overrides {
         rounds: Some(2),
         scale: Some(fedbiad::fl::workload::Scale::Smoke),
@@ -101,6 +111,21 @@ fn fig2_two_round_trace_digest_is_pinned() {
         "fig2 smoke trace drifted: computed digest {digest:#018X} != pinned \
          {GOLDEN_DIGEST:#018X}. If this numeric change is intentional, follow the update \
          procedure in this file's header; otherwise a kernel change broke determinism."
+    );
+}
+
+#[test]
+fn compressor_grid_two_round_trace_digest_is_pinned() {
+    let spec = smoke_spec_of("scenarios/compressor_grid.toml");
+    let outcomes = execute(&spec).expect("compressor grid smoke run must execute");
+    assert_eq!(outcomes.len(), 12, "four methods × three compressors");
+
+    let digest = digest_of(&outcomes);
+    assert_eq!(
+        digest, COMPRESSOR_GRID_DIGEST,
+        "compressor-grid smoke trace drifted: computed digest {digest:#018X} != pinned \
+         {COMPRESSOR_GRID_DIGEST:#018X}. If this numeric change is intentional, follow the \
+         update procedure in this file's header; otherwise a kernel change broke determinism."
     );
 }
 
